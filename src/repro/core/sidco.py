@@ -87,10 +87,11 @@ class SIDCo(Compressor):
         target_k = self._target_k(d, ratio)
 
         abs_grad = np.abs(arr)
-        if d < 2 or float(abs_grad.max()) == 0.0:
-            # Degenerate input (single element, or no tail at all): there is
-            # nothing to fit, so fall back to an exact-k selection instead of
-            # handing the SID fitters an empty/ill-posed sample.
+        if ratio >= 1.0 or d < 2 or float(abs_grad.max()) == 0.0:
+            # Degenerate request or input (keep everything, a single element,
+            # or no tail at all): there is nothing to fit, so fall back to an
+            # exact-k selection instead of handing the SID fitters an
+            # empty/ill-posed sample.
             result = self._result_from_topk(
                 arr,
                 target_k,
@@ -131,15 +132,18 @@ class SIDCo(Compressor):
     def fit_all_buckets(self, gradient: np.ndarray, layout, ratio: float) -> BucketedFit | None:
         """Batched per-bucket SID fitting (the PR-1 vectorized fast path).
 
-        Declines (returns ``None``) on degenerate gradients with no tail to
-        fit; the pipeline then falls back to the whole-vector degenerate
-        handling of :meth:`compress`.  The stage controller is *not* observed
-        here — the pipeline observes the global achieved selection once per
-        call, exactly like the unbucketed compressor.
+        Declines (returns ``None``) at ``ratio == 1.0`` and on degenerate
+        gradients with no tail to fit; the pipeline then falls back to the
+        whole-vector degenerate handling of :meth:`compress`.  The stage
+        controller is *not* observed here — the pipeline observes the global
+        achieved selection once per call, exactly like the unbucketed
+        compressor.
         """
         # Deferred import: repro.pipeline imports this module at load time.
         from ..pipeline.vectorized import _bucket_mask_and_counts, estimate_multi_stage_bucketed
 
+        if ratio >= 1.0:
+            return None
         arr = np.asarray(gradient, dtype=np.float64).ravel()
         d = arr.size
         abs_flat = np.abs(arr)

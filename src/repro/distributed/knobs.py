@@ -1,42 +1,99 @@
 """The consolidated simulation-knob bundle shared by every pricing surface.
 
-Before this module, the ~14 scheduler/collective knobs (bucket size, overlap
-policy, topology, collective algorithms, chunk pipelining, dedup assumption,
-cross-bucket pipelining, scheduler backend, and now the fault/policy knobs)
-were duplicated as flat fields and kwargs across ``TrainerConfig``,
-``BenchmarkConfig``, ``run_benchmark``, ``compare_compressors`` and
-``evaluate_point`` — five places whose defaults could silently drift apart,
-and a sweep grid (``SWEEP_KNOBS``) that had to be updated by hand whenever a
-knob was added.
+The 14 scheduler/collective/fault knobs (bucket size, overlap policy,
+topology, collective algorithms, chunk pipelining, dedup assumption,
+cross-bucket pipelining, scheduler backend and the fault/policy knobs) live
+in exactly one place: :class:`SimulationKnobs`.  ``TrainerConfig`` and
+``BenchmarkConfig`` hold one as their ``knobs`` field, ``run_benchmark`` and
+``compare_compressors`` take one as ``knobs=``, and the sweep grid
+(``repro.harness.sweep.SWEEP_KNOBS``) derives its canonical knob order from
+:data:`KNOB_FIELDS`, so a knob added here is automatically a sweepable axis.
 
-:class:`SimulationKnobs` is now the single source of truth: the field order
-*is* the sweep's canonical knob order (``repro.harness.sweep.SWEEP_KNOBS``
-derives from :data:`KNOB_FIELDS`), the field defaults *are* the defaults of
-every consuming config (``TrainerConfig`` and ``BenchmarkConfig`` read them at
-class-definition time), and validation — including cross-knob consistency like
-``backup_workers`` requiring the ``backup-workers`` policy — happens once, in
-``__post_init__``.  A knob added here is automatically a sweepable axis, a
-trainer field, and a benchmark field; it can no longer miss the grid.
-
-Old flat kwargs on ``run_benchmark``/``compare_compressors`` keep working for
-one release through :func:`apply_flat_overrides`, which folds them into a
-knob bundle with a :class:`DeprecationWarning`.
+Validation lives here too.  :func:`validate_knob` holds every per-knob rule;
+``SimulationKnobs.__post_init__`` runs it on each field and the sweep runs it
+on each axis value, so the two surfaces cannot disagree about a value.
+Cross-knob consistency (``backup_workers`` requiring the ``backup-workers``
+policy, ...) is checked by ``__post_init__`` on the assembled bundle.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, fields, replace
+from numbers import Integral, Real
+from typing import Mapping
 
 from .faults import validate_sync_policy
 from .schedule import validate_cross_bucket, validate_overlap, validate_scheduler_backend
 from .topology import (
+    ClusterTopology,
     SparseAggregateModel,
     get_collective_algorithm,
     get_topology,
     validate_pipeline_chunks,
 )
+
+#: Smallest bucket: one fp32 gradient element.
+MIN_BUCKET_BYTES = 4
+
+
+def _require_int(name: str, value, minimum: int) -> None:
+    if not isinstance(value, Integral) or isinstance(value, bool) or value < minimum:
+        raise ValueError(f"{name} must be an int >= {minimum}, got {value!r}")
+
+
+def _require_factor(name: str, value) -> None:
+    if (
+        not isinstance(value, Real)
+        or isinstance(value, bool)
+        or not math.isfinite(value)
+        or value < 1.0
+    ):
+        raise ValueError(f"{name} must be a finite multiplier >= 1, got {value!r}")
+
+
+def validate_knob(name: str, value) -> None:
+    """Raise ``ValueError`` unless ``value`` is a valid setting of knob ``name``.
+
+    The single per-knob rule set: :class:`SimulationKnobs` applies it to every
+    field and the sweep to every axis value.
+    """
+    if name == "bucket_bytes":
+        if value is not None:
+            _require_int(name, value, MIN_BUCKET_BYTES)
+    elif name == "overlap":
+        validate_overlap(value)
+    elif name == "topology":
+        if isinstance(value, str):
+            get_topology(value)  # fail fast on unknown preset names
+        elif value is not None and not isinstance(value, ClusterTopology):
+            raise ValueError(
+                f"topology must be a preset name, a ClusterTopology or None, got {value!r}"
+            )
+    elif name in ("allreduce_algorithm", "allgather_algorithm"):
+        if not isinstance(value, str):
+            raise ValueError(f"{name} must be an algorithm name, got {value!r}")
+        get_collective_algorithm(value, op=name.split("_")[0])
+    elif name == "pipeline_chunks":
+        validate_pipeline_chunks(value)
+    elif name == "dedup_assumption":
+        if value is not None:
+            SparseAggregateModel(value)  # fail fast on unknown assumptions
+    elif name == "cross_bucket_pipeline":
+        validate_cross_bucket(value)
+    elif name == "scheduler_backend":
+        validate_scheduler_backend(value)
+    elif name == "sync_policy":
+        validate_sync_policy(value)
+    elif name == "backup_workers":
+        _require_int(name, value, 0)
+    elif name == "time_window_factor":
+        if value is not None:
+            _require_factor(name, value)
+    elif name in ("straggler_severity", "link_degradation"):
+        _require_factor(name, value)
+    else:
+        raise ValueError(f"unknown knob {name!r}; known: {list(KNOB_FIELDS)}")
 
 
 @dataclass(frozen=True)
@@ -44,9 +101,9 @@ class SimulationKnobs:
     """Every knob that shapes how one training iteration is priced.
 
     Field order is load-bearing: it is the canonical knob order of the sweep
-    grid (old knobs first, in their PR-9 order, new fault/policy knobs
-    appended), so adding a field here extends the grid without re-keying any
-    existing sweep point.
+    grid (the collective/scheduler knobs first, the fault/policy knobs
+    appended), so adding a field at the end extends the grid without re-keying
+    any existing sweep point.
     """
 
     #: Bytes per gradient bucket (``None`` = one fused buffer, no bucketing).
@@ -84,51 +141,23 @@ class SimulationKnobs:
     link_degradation: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.bucket_bytes is not None and self.bucket_bytes < 1:
-            raise ValueError("bucket_bytes must be positive when set")
-        validate_overlap(self.overlap)
-        if isinstance(self.topology, str):
-            get_topology(self.topology)  # fail fast on unknown preset names
-        get_collective_algorithm(self.allreduce_algorithm, op="allreduce")
-        get_collective_algorithm(self.allgather_algorithm, op="allgather")
-        validate_pipeline_chunks(self.pipeline_chunks)
-        if self.dedup_assumption is not None:
-            SparseAggregateModel(self.dedup_assumption)  # fail fast on unknown assumptions
-        validate_cross_bucket(self.cross_bucket_pipeline)
-        validate_scheduler_backend(self.scheduler_backend)
-        validate_sync_policy(self.sync_policy)
-        if self.backup_workers < 0:
-            raise ValueError(f"backup_workers must be >= 0, got {self.backup_workers}")
+        for name in KNOB_FIELDS:
+            validate_knob(name, getattr(self, name))
         if self.backup_workers > 0 and self.sync_policy != "backup-workers":
             raise ValueError(
                 "backup_workers > 0 requires sync_policy='backup-workers', "
                 f"got {self.sync_policy!r}"
             )
-        if self.time_window_factor is not None:
-            if not math.isfinite(self.time_window_factor) or self.time_window_factor < 1.0:
-                raise ValueError(
-                    f"time_window_factor must be >= 1, got {self.time_window_factor!r}"
-                )
-            if self.sync_policy != "time-window":
-                raise ValueError(
-                    "time_window_factor requires sync_policy='time-window', "
-                    f"got {self.sync_policy!r}"
-                )
-        for name in ("straggler_severity", "link_degradation"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < 1.0:
-                raise ValueError(f"{name} must be a finite multiplier >= 1, got {value!r}")
+        if self.time_window_factor is not None and self.sync_policy != "time-window":
+            raise ValueError(
+                "time_window_factor requires sync_policy='time-window', "
+                f"got {self.sync_policy!r}"
+            )
 
     @property
     def faulted(self) -> bool:
         """True when any fault/policy knob departs from the clean-cluster default."""
-        return (
-            self.sync_policy != "full-sync"
-            or self.backup_workers != 0
-            or self.time_window_factor is not None
-            or self.straggler_severity != 1.0
-            or self.link_degradation != 1.0
-        )
+        return faults_active(self.as_dict())
 
     def replace(self, **overrides) -> "SimulationKnobs":
         """A copy with ``overrides`` applied (re-validated)."""
@@ -142,35 +171,25 @@ class SimulationKnobs:
 #: Canonical knob order — the single source the sweep grid derives from.
 KNOB_FIELDS: tuple[str, ...] = tuple(f.name for f in fields(SimulationKnobs))
 
+#: The fault/policy knobs; pricing goes through the fault layer only when
+#: one of them leaves its default.
+FAULT_KNOBS: tuple[str, ...] = (
+    "sync_policy",
+    "backup_workers",
+    "time_window_factor",
+    "straggler_severity",
+    "link_degradation",
+)
+
 
 def knob_defaults() -> dict:
-    """Field name -> default, in canonical knob order.
-
-    This is *the* default table: ``TrainerConfig`` and ``BenchmarkConfig``
-    read it at class-definition time, so a default changed here changes
-    everywhere at once and cannot drift.
-    """
+    """Field name -> default, in canonical knob order."""
     return {f.name: f.default for f in fields(SimulationKnobs)}
 
 
-def apply_flat_overrides(base: SimulationKnobs, overrides: dict, caller: str) -> SimulationKnobs:
-    """Deprecation shim: fold legacy flat knob kwargs into a knob bundle.
+_CLEAN_FAULTS: dict = {name: knob_defaults()[name] for name in FAULT_KNOBS}
 
-    ``overrides`` maps knob names to values where ``None`` means "not passed"
-    (the legacy kwargs' sentinel); any knob actually passed emits a
-    :class:`DeprecationWarning` naming ``caller`` and wins over ``base``.
-    Kept for one release so existing call sites migrate at their own pace.
-    """
-    passed = {name: value for name, value in overrides.items() if value is not None}
-    unknown = set(passed) - set(KNOB_FIELDS)
-    if unknown:
-        raise ValueError(f"unknown knobs {sorted(unknown)}; known: {list(KNOB_FIELDS)}")
-    if not passed:
-        return base
-    warnings.warn(
-        f"passing flat knob kwargs ({sorted(passed)}) to {caller} is deprecated; "
-        "pass knobs=SimulationKnobs(...) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return base.replace(**passed)
+
+def faults_active(config: Mapping) -> bool:
+    """True when any fault/policy knob in ``config`` departs from its default."""
+    return any(config[name] != clean for name, clean in _CLEAN_FAULTS.items())

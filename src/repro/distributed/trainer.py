@@ -37,7 +37,7 @@ from ..tensor.flatten import FlatSpec, unflatten
 from .backend import create_worker_backend, validate_worker_backend
 from .collectives import allgather_sparse, allreduce_dense
 from .faults import ClusterProfile, FaultModel, get_sync_policy, price_iteration
-from .knobs import KNOB_FIELDS, SimulationKnobs, knob_defaults
+from .knobs import SimulationKnobs
 from .metrics import IterationRecord, TrainingMetrics
 from .network import CLUSTER_ETHERNET_10G, NetworkModel
 from .timeline import TimelineModel
@@ -49,13 +49,15 @@ from .topology import (
 )
 from .worker import Worker
 
-#: The shared knob-default table (single source of truth: ``SimulationKnobs``).
-_KNOB_DEFAULTS = knob_defaults()
-
-
 @dataclass
 class TrainerConfig:
-    """Hyper-parameters of one distributed training run."""
+    """Hyper-parameters of one distributed training run.
+
+    Every simulation knob (bucketing, overlap, topology, collective
+    algorithms, scheduler backend, fault/policy settings) rides in ``knobs``;
+    see :class:`~repro.distributed.knobs.SimulationKnobs`.  A topology preset
+    name is resolved here, and its worker count must match ``num_workers``.
+    """
 
     num_workers: int = 8
     batch_size: int = 16
@@ -71,91 +73,29 @@ class TrainerConfig:
     seed: int = 0
     compute_seconds: float = 0.01
     dimension_scale: float = 1.0
-    #: When set, each worker's compressor runs inside a bucketed
-    #: :class:`~repro.pipeline.CompressionPipeline` with this many bytes per
-    #: bucket, and the timeline prices communication per bucket.
-    bucket_bytes: int | None = _KNOB_DEFAULTS["bucket_bytes"]
-    #: Overlap policy for the event-driven iteration schedule: ``"none"``
-    #: serialises compute, compression and communication (the closed-form
-    #: sum); ``"comm"`` overlaps each bucket's all-gather with later buckets'
-    #: compression; ``"comm+compress"`` additionally starts compressing each
-    #: bucket at its gradient-ready point during backprop.  Only bucketed runs
-    #: (``bucket_bytes`` set) have per-bucket structure to overlap.
-    overlap: str = _KNOB_DEFAULTS["overlap"]
     #: Snap bucket boundaries to the model's layer boundaries (DDP-style) and
     #: derive per-bucket gradient-ready times from reverse layer order.
-    #: Ignored unless ``bucket_bytes`` is set.
+    #: Ignored unless ``knobs.bucket_bytes`` is set.
     layer_aware_buckets: bool = True
-    #: Cluster topology the collectives run over: a preset name (``"cluster1"``,
-    #: ``"cluster2"``, ``"ethernet-4x8"``, ...), an explicit
-    #: :class:`~repro.distributed.topology.ClusterTopology`, or ``None`` for the
-    #: degenerate single-level topology over the trainer's network.  The
-    #: topology's worker count must match ``num_workers``.
-    topology: "str | ClusterTopology | None" = _KNOB_DEFAULTS["topology"]
-    #: Collective algorithm pricing the dense baseline all-reduce.
-    allreduce_algorithm: str = _KNOB_DEFAULTS["allreduce_algorithm"]
-    #: Collective algorithm pricing the sparse all-gather (``"flat-allgather"``,
-    #: ``"recursive-doubling"`` or ``"hierarchical"``).
-    allgather_algorithm: str = _KNOB_DEFAULTS["allgather_algorithm"]
-    #: Payload chunks the hierarchical collective phases pipeline over —
-    #: ``1`` serialises the intra/inter phases (the PR-3 pricing, reproduced
-    #: bit-for-bit), larger values overlap them chunk-by-chunk.  A no-op for
-    #: single-link collective algorithms.
-    pipeline_chunks: int = _KNOB_DEFAULTS["pipeline_chunks"]
-    #: Index-overlap assumption for per-node sparse-payload dedup (``"uniform"``,
-    #: ``"identical"`` or ``"disjoint"``; see
-    #: :class:`~repro.distributed.topology.SparseAggregateModel`), or ``None``
-    #: to ship raw concatenated node aggregates (the PR-3 behaviour).
-    dedup_assumption: str | None = _KNOB_DEFAULTS["dedup_assumption"]
-    #: Schedule buckets on per-link network lanes so bucket *i+1*'s intra-node
-    #: collective phase overlaps bucket *i*'s inter-node phase.  ``False``
-    #: keeps the serial whole-occupancy network lane (the PR-4 scheduler).
-    #: Only bucketed runs on a multi-link topology have anything to overlap.
-    cross_bucket_pipeline: bool = _KNOB_DEFAULTS["cross_bucket_pipeline"]
     #: How per-worker compression executes: ``"serial"`` (in-process, the
     #: default) or ``"process"`` (chunked dispatch to a process pool so
     #: multi-worker runs use real cores).  Both are bit-for-bit identical on
     #: fixed seeds; see :mod:`repro.distributed.backend`.
     worker_backend: str = "serial"
-    #: Scheduler implementation pricing/placing the bucketed iteration:
-    #: ``"loop"`` (the scalar reference simulator) or ``"vectorized"``
-    #: (batched NumPy pricing + array scheduling).  Bit-for-bit identical
-    #: results; the vectorized backend defers to the loop whenever the
-    #: batched contract cannot hold.  See
-    #: :class:`~repro.distributed.timeline.TimelineModel`.
-    scheduler_backend: str = _KNOB_DEFAULTS["scheduler_backend"]
-    #: Synchronization policy under faults (see
-    #: :mod:`repro.distributed.faults`): ``"full-sync"`` waits for the slowest
-    #: participant (today's barrier), ``"backup-workers"`` cuts the slowest
-    #: ``backup_workers``, ``"time-window"`` keeps workers finishing within
-    #: ``time_window_factor`` x the fastest finish.
-    sync_policy: str = _KNOB_DEFAULTS["sync_policy"]
-    #: Slowest workers the ``backup-workers`` policy cuts per iteration.
-    backup_workers: int = _KNOB_DEFAULTS["backup_workers"]
-    #: ``time-window`` window as a multiple of the fastest worker's finish
-    #: time (``None`` = the policy default when that policy is selected).
-    time_window_factor: float | None = _KNOB_DEFAULTS["time_window_factor"]
-    #: Deterministic compute slowdown (>= 1) of worker 0 — the single-knob
-    #: straggler.  For richer heterogeneity pass ``cluster_profile`` instead.
-    straggler_severity: float = _KNOB_DEFAULTS["straggler_severity"]
-    #: Deterministic link-time multiplier (>= 1) of worker 0.
-    link_degradation: float = _KNOB_DEFAULTS["link_degradation"]
-    #: Explicit per-worker heterogeneity (mutually exclusive with the two
-    #: single-straggler knobs above); ``None`` = homogeneous.
+    #: Explicit per-worker heterogeneity (mutually exclusive with the
+    #: single-straggler knobs ``straggler_severity`` / ``link_degradation``);
+    #: ``None`` = homogeneous.
     cluster_profile: "ClusterProfile | None" = None
     #: Fault injectors applied per iteration, in order (``StragglerInjector``,
     #: ``LinkDegradation``, ``WorkerChurn``, or anything with
     #: ``apply(iteration, rates)``).
     fault_injectors: tuple = ()
-    #: The consolidated knob bundle.  When passed, its fields overwrite the
-    #: corresponding flat fields above; after construction it always holds the
-    #: validated, normalised bundle (single source of truth for every knob).
-    knobs: "SimulationKnobs | None" = None
+    #: The simulation knobs this run is priced under.
+    knobs: SimulationKnobs = field(default_factory=SimulationKnobs)
 
     def __post_init__(self) -> None:
-        if self.knobs is not None:
-            for name in KNOB_FIELDS:
-                setattr(self, name, getattr(self.knobs, name))
+        if not isinstance(self.knobs, SimulationKnobs):
+            raise ValueError(f"knobs must be a SimulationKnobs bundle, got {self.knobs!r}")
         if self.num_workers < 1:
             raise ValueError("num_workers must be >= 1")
         if self.iterations < 1:
@@ -168,42 +108,30 @@ class TrainerConfig:
             raise ValueError("compute_seconds must be non-negative")
         validate_worker_backend(self.worker_backend)
         self.fault_injectors = tuple(self.fault_injectors)
+        knobs = self.knobs
         if self.cluster_profile is not None:
             if self.cluster_profile.num_workers != self.num_workers:
                 raise ValueError(
                     f"cluster_profile has {self.cluster_profile.num_workers} workers "
                     f"but num_workers is {self.num_workers}"
                 )
-            if self.straggler_severity != 1.0 or self.link_degradation != 1.0:
+            if knobs.straggler_severity != 1.0 or knobs.link_degradation != 1.0:
                 raise ValueError(
                     "pass either cluster_profile or the single-straggler knobs "
                     "(straggler_severity / link_degradation), not both"
                 )
-        if self.topology is not None:
-            # Fail fast like the algorithm fields: resolve preset names and
-            # check the worker count here, not at trainer construction.
-            resolved = (
-                get_topology(self.topology) if isinstance(self.topology, str) else self.topology
-            )
-            if resolved.num_workers != self.num_workers:
-                raise ValueError(
-                    f"topology {resolved.name or resolved!r} has {resolved.num_workers} "
-                    f"workers but num_workers is {self.num_workers}"
-                )
-            self.topology = resolved
-        # Every knob is validated once, by the consolidated bundle (including
-        # cross-knob implications like backup_workers requiring its policy);
-        # the snapshot is also what downstream surfaces should read.
-        self.knobs = self.simulation_knobs()
-        if self.backup_workers >= self.num_workers:
+        if isinstance(knobs.topology, str):
+            self.knobs = knobs = knobs.replace(topology=get_topology(knobs.topology))
+        if knobs.topology is not None and knobs.topology.num_workers != self.num_workers:
             raise ValueError(
-                f"backup_workers ({self.backup_workers}) must leave at least one "
+                f"topology {knobs.topology.name or knobs.topology!r} has "
+                f"{knobs.topology.num_workers} workers but num_workers is {self.num_workers}"
+            )
+        if knobs.backup_workers >= self.num_workers:
+            raise ValueError(
+                f"backup_workers ({knobs.backup_workers}) must leave at least one "
                 f"participant out of num_workers ({self.num_workers})"
             )
-
-    def simulation_knobs(self) -> SimulationKnobs:
-        """The current knob fields as a validated :class:`SimulationKnobs` bundle."""
-        return SimulationKnobs(**{name: getattr(self, name) for name in KNOB_FIELDS})
 
     @property
     def faulted(self) -> bool:
@@ -216,13 +144,14 @@ class TrainerConfig:
 
     def build_fault_model(self) -> FaultModel:
         """The fault model this config describes (homogeneous profile when clean)."""
+        knobs = self.knobs
         if self.cluster_profile is not None:
             profile = self.cluster_profile
-        elif self.straggler_severity != 1.0 or self.link_degradation != 1.0:
+        elif knobs.straggler_severity != 1.0 or knobs.link_degradation != 1.0:
             profile = ClusterProfile.degraded(
                 self.num_workers,
-                compute=self.straggler_severity,
-                link=self.link_degradation,
+                compute=knobs.straggler_severity,
+                link=knobs.link_degradation,
             )
         else:
             profile = ClusterProfile.homogeneous(self.num_workers)
@@ -234,9 +163,9 @@ class TrainerConfig:
         ``None`` builds the degenerate single-level topology: every worker on
         ``network``, which reproduces the pre-topology pricing exactly.
         """
-        if self.topology is None:
+        if self.knobs.topology is None:
             return ClusterTopology.flat(network, self.num_workers)
-        return self.topology
+        return self.knobs.topology
 
 
 @dataclass
@@ -269,6 +198,7 @@ class DistributedTrainer:
         self.config = config
         self.capture = capture
         self.scheduler = scheduler
+        knobs = config.knobs
 
         flat_spec = FlatSpec.from_named_shapes(
             {name: p.shape for name, p in model.named_parameters().items()}
@@ -279,7 +209,7 @@ class DistributedTrainer:
             comp = self._make_compressor(
                 compressor,
                 compressor_kwargs,
-                config.bucket_bytes,
+                knobs.bucket_bytes,
                 flat_spec=flat_spec if config.layer_aware_buckets else None,
             )
             batches = BatchIterator(shard, config.batch_size, seed=config.seed + 101 * worker_id)
@@ -309,12 +239,12 @@ class DistributedTrainer:
         dimension = self.workers[0].flat_spec.total_size
         self.collective = CollectiveModel(
             topology=config.resolve_topology(network),
-            allreduce_algorithm=config.allreduce_algorithm,
-            allgather_algorithm=config.allgather_algorithm,
-            pipeline_chunks=config.pipeline_chunks,
+            allreduce_algorithm=knobs.allreduce_algorithm,
+            allgather_algorithm=knobs.allgather_algorithm,
+            pipeline_chunks=knobs.pipeline_chunks,
             allgather_dedup=(
-                SparseAggregateModel(config.dedup_assumption)
-                if config.dedup_assumption is not None
+                SparseAggregateModel(knobs.dedup_assumption)
+                if knobs.dedup_assumption is not None
                 else None
             ),
         )
@@ -325,10 +255,10 @@ class DistributedTrainer:
             num_workers=config.num_workers,
             model_dimension=dimension,
             dimension_scale=config.dimension_scale,
-            overlap=config.overlap,
+            overlap=knobs.overlap,
             collective=self.collective,
-            cross_bucket_pipeline=config.cross_bucket_pipeline,
-            scheduler_backend=config.scheduler_backend,
+            cross_bucket_pipeline=knobs.cross_bucket_pipeline,
+            scheduler_backend=knobs.scheduler_backend,
         )
         self._warmup_compressor = NoCompression()
         self.backend = create_worker_backend(config.worker_backend)
@@ -336,9 +266,9 @@ class DistributedTrainer:
         # exactly the pre-fault code (bit-for-bit schedules and timings).
         self.fault_model = config.build_fault_model() if config.faulted else None
         self.sync_policy = get_sync_policy(
-            config.sync_policy,
-            backup_workers=config.backup_workers,
-            time_window_factor=config.time_window_factor,
+            knobs.sync_policy,
+            backup_workers=knobs.backup_workers,
+            time_window_factor=knobs.time_window_factor,
         )
 
     @staticmethod

@@ -38,8 +38,8 @@ millions of times against a warm cache.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Callable, Mapping
 
 import numpy as np
@@ -49,26 +49,10 @@ from ..gradients.synthetic import realistic_gradient
 from ..perfmodel.device import GPU_V100
 from ..pipeline import CompressionPipeline
 from ..distributed.backend import SpawnPool
-from ..distributed.faults import (
-    ClusterProfile,
-    get_sync_policy,
-    price_iteration,
-    validate_sync_policy,
-)
-from ..distributed.knobs import KNOB_FIELDS, knob_defaults
-from ..distributed.schedule import (
-    validate_cross_bucket,
-    validate_overlap,
-    validate_scheduler_backend,
-)
+from ..distributed.faults import ClusterProfile, get_sync_policy, price_iteration
+from ..distributed.knobs import KNOB_FIELDS, faults_active, knob_defaults, validate_knob
 from ..distributed.timeline import TimelineModel, compute_time_for_overhead
-from ..distributed.topology import (
-    CollectiveModel,
-    SparseAggregateModel,
-    get_collective_algorithm,
-    get_topology,
-    validate_pipeline_chunks,
-)
+from ..distributed.topology import CollectiveModel, SparseAggregateModel, get_topology
 from .artifacts import bench_artifact, validate_bench_artifact
 from .configs import get_benchmark
 
@@ -121,6 +105,10 @@ class WorkloadSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("workload name must be non-empty")
+        for name in ("dimension", "proxy_elements"):
+            value = getattr(self, name)
+            if not isinstance(value, Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.proxy_elements < 64:
             raise ValueError(f"proxy_elements must be >= 64, got {self.proxy_elements}")
         if self.dimension < self.proxy_elements:
@@ -276,24 +264,14 @@ class SweepPoint:
         )
 
 
-_KNOB_VALIDATORS: dict[str, Callable] = {
-    "overlap": validate_overlap,
-    "cross_bucket_pipeline": validate_cross_bucket,
-    "scheduler_backend": validate_scheduler_backend,
-    "pipeline_chunks": validate_pipeline_chunks,
-    "topology": get_topology,
-    "allreduce_algorithm": lambda name: get_collective_algorithm(name, op="allreduce"),
-    "allgather_algorithm": lambda name: get_collective_algorithm(name, op="allgather"),
-    "sync_policy": validate_sync_policy,
-}
+def _validate_axis_value(knob: str, value) -> None:
+    """Fail fast on invalid axis values at spec-construction time.
 
-
-def _validate_knob_value(knob: str, value) -> None:
-    """Fail fast on invalid axis values at spec-construction time."""
-    validator = _KNOB_VALIDATORS.get(knob)
-    if validator is not None:
-        validator(value)
-        return
+    Simulation knobs go through the shared :func:`validate_knob` rules; the
+    sweep adds only what it needs beyond them: a known compressor, a ratio in
+    (0, 1], and a topology given as a preset name (a sweep prices on a named
+    fabric, and its records serialise to JSON).
+    """
     if knob == "compressor":
         if value not in available_compressors():
             raise ValueError(
@@ -302,23 +280,10 @@ def _validate_knob_value(knob: str, value) -> None:
     elif knob == "ratio":
         if not 0.0 < float(value) <= 1.0:
             raise ValueError(f"ratio must be in (0, 1], got {value}")
-    elif knob == "bucket_bytes":
-        if value is not None and (not isinstance(value, int) or value < 1):
-            raise ValueError(f"bucket_bytes must be a positive int or None, got {value!r}")
-    elif knob == "dedup_assumption":
-        if value is not None:
-            SparseAggregateModel(value)
-    elif knob == "backup_workers":
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise ValueError(f"backup_workers must be a non-negative int, got {value!r}")
-    elif knob == "time_window_factor":
-        if value is not None and (not math.isfinite(float(value)) or float(value) < 1.0):
-            raise ValueError(
-                f"time_window_factor must be a finite factor >= 1 or None, got {value!r}"
-            )
-    elif knob in ("straggler_severity", "link_degradation"):
-        if not math.isfinite(float(value)) or float(value) < 1.0:
-            raise ValueError(f"{knob} must be a finite slowdown >= 1, got {value!r}")
+    elif knob == "topology" and not isinstance(value, str):
+        raise ValueError(f"a sweep's topology must be a preset name, got {value!r}")
+    else:
+        validate_knob(knob, value)
 
 
 @dataclass(frozen=True)
@@ -351,7 +316,7 @@ class SweepSpec:
             if not values:
                 raise ValueError(f"axis {name!r} must list at least one value")
             for value in values:
-                _validate_knob_value(name, value)
+                _validate_axis_value(name, value)
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "constraints", tuple(self.constraints))
 
@@ -593,17 +558,6 @@ def _dense_baseline_seconds(
     return cache.fetch(cache.baselines, key, build)
 
 
-def _faults_active(config: Mapping) -> bool:
-    """True when any fault knob left its default — the fault layer prices only then."""
-    return (
-        config["sync_policy"] != "full-sync"
-        or config["backup_workers"] != 0
-        or config["time_window_factor"] is not None
-        or config["straggler_severity"] != 1.0
-        or config["link_degradation"] != 1.0
-    )
-
-
 def evaluate_point(
     workload: WorkloadSpec, point: SweepPoint, *, cache: SweepCache | None = None
 ) -> dict:
@@ -659,7 +613,7 @@ def evaluate_point(
         "participating_workers": timeline.num_workers,
         "stragglers_cut": 0,
     }
-    if _faults_active(config):
+    if faults_active(config):
         policy = get_sync_policy(
             config["sync_policy"],
             backup_workers=config["backup_workers"],

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..distributed.knobs import SimulationKnobs, apply_flat_overrides
+from ..distributed.knobs import SimulationKnobs
 from ..distributed.network import CLUSTER_ETHERNET_10G, NetworkModel
 from ..distributed.topology import ClusterTopology, get_topology
 from ..distributed.trainer import DistributedTrainer, TrainerConfig, TrainingRunResult
@@ -74,17 +74,16 @@ class BenchmarkComparison:
     runs: dict[tuple[str, float], TrainingRunResult] = field(default_factory=dict)
 
 
-def _topology_label(config: TrainerConfig | None) -> str:
+def _topology_label(config: TrainerConfig) -> str:
     """Human-readable topology tag for a result row (``"flat"`` for single-level).
 
     ``TrainerConfig.__post_init__`` resolves preset names, so a set topology is
     always a :class:`ClusterTopology` here.
     """
-    if config is None or config.topology is None:
+    topology = config.knobs.topology
+    if topology is None:
         return "flat"
-    return config.topology.name or (
-        f"{config.topology.num_nodes}x{config.topology.devices_per_node}"
-    )
+    return topology.name or f"{topology.num_nodes}x{topology.devices_per_node}"
 
 
 def _quality_from_evaluation(config: BenchmarkConfig, evaluation: dict[str, float]) -> float:
@@ -93,34 +92,6 @@ def _quality_from_evaluation(config: BenchmarkConfig, evaluation: dict[str, floa
         # Lower perplexity is better; invert so speed-up math stays "higher is better".
         return 1.0 / max(evaluation["perplexity"], 1e-12)
     return evaluation["accuracy"]
-
-
-#: Legacy flat knob kwargs ``run_benchmark``/``compare_compressors`` still
-#: accept for one release (``None`` = not passed); each passed one is folded
-#: into the knob bundle by :func:`~repro.distributed.knobs.apply_flat_overrides`
-#: with a :class:`DeprecationWarning`.
-_LEGACY_FLAT_KNOBS: tuple[str, ...] = (
-    "bucket_bytes",
-    "overlap",
-    "topology",
-    "allreduce_algorithm",
-    "allgather_algorithm",
-    "pipeline_chunks",
-    "dedup_assumption",
-    "cross_bucket_pipeline",
-    "scheduler_backend",
-)
-
-
-def _resolve_knobs(
-    config: BenchmarkConfig,
-    knobs: SimulationKnobs | None,
-    flat_overrides: dict,
-    caller: str,
-) -> SimulationKnobs:
-    """The run's knob bundle: ``knobs`` (or the benchmark's) + legacy flat kwargs."""
-    base = knobs if knobs is not None else config.simulation_knobs()
-    return apply_flat_overrides(base, flat_overrides, caller)
 
 
 def _resolve_topology(
@@ -177,15 +148,6 @@ def run_benchmark(
     device: DeviceProfile = GPU_V100,
     capture: GradientCapture | None = None,
     knobs: SimulationKnobs | None = None,
-    bucket_bytes: int | None = None,
-    overlap: str | None = None,
-    topology: "str | ClusterTopology | None" = None,
-    allreduce_algorithm: str | None = None,
-    allgather_algorithm: str | None = None,
-    pipeline_chunks: int | None = None,
-    dedup_assumption: str | None = None,
-    cross_bucket_pipeline: bool | None = None,
-    scheduler_backend: str | None = None,
 ) -> TrainingRunResult:
     """Train one Table 1 proxy benchmark with one compressor and evaluate it.
 
@@ -193,21 +155,16 @@ def run_benchmark(
     (:class:`~repro.distributed.SimulationKnobs`); when ``None``, the
     benchmark config's own knob settings apply.  ``knobs.bucket_bytes`` is
     stated in full-size-model bytes per gradient bucket (like
-    ``BenchmarkConfig.bucket_bytes``) and rescaled to the proxy's dimension
+    ``BenchmarkConfig.knobs.bucket_bytes``) and rescaled to the proxy's dimension
     automatically; ``knobs.topology`` (a preset name or
     :class:`~repro.distributed.ClusterTopology`) fixes the worker count,
     overriding ``num_workers``.  The fault/policy knobs (``sync_policy``,
     ``backup_workers``, ``time_window_factor``, ``straggler_severity``,
     ``link_degradation``) thread into the trainer's fault layer
     (:mod:`repro.distributed.faults`).
-
-    The flat knob kwargs (``bucket_bytes`` ... ``scheduler_backend``) are the
-    pre-knobs API, kept for one release: each one passed emits a
-    :class:`DeprecationWarning` and overrides the bundle's value.
     """
     config = benchmark if isinstance(benchmark, BenchmarkConfig) else get_benchmark(benchmark)
-    flat = {name: value for name, value in locals().items() if name in _LEGACY_FLAT_KNOBS}
-    resolved = _resolve_knobs(config, knobs, flat, "run_benchmark")
+    resolved = config.knobs if knobs is None else knobs
     resolved_topology, num_workers = _resolve_topology(resolved.topology, num_workers)
     dataset = config.build_proxy_dataset(seed=seed)
     model = config.build_proxy_model(seed=seed + 1)
@@ -241,26 +198,14 @@ def compare_compressors(
     network: NetworkModel = CLUSTER_ETHERNET_10G,
     device: DeviceProfile = GPU_V100,
     knobs: SimulationKnobs | None = None,
-    bucket_bytes: int | None = None,
-    overlap: str | None = None,
-    topology: "str | ClusterTopology | None" = None,
-    allreduce_algorithm: str | None = None,
-    allgather_algorithm: str | None = None,
-    pipeline_chunks: int | None = None,
-    dedup_assumption: str | None = None,
-    cross_bucket_pipeline: bool | None = None,
-    scheduler_backend: str | None = None,
 ) -> BenchmarkComparison:
     """Run one benchmark for every (compressor, ratio) pair plus the dense baseline.
 
-    Knobs ride in the consolidated ``knobs`` bundle (default: the benchmark
-    config's settings); the flat knob kwargs are deprecated and fold into the
-    bundle once here, so every underlying :func:`run_benchmark` call shares
-    one resolved bundle and the deprecation warns once per comparison.
+    Knobs ride in the ``knobs`` bundle (default: the benchmark config's
+    settings), shared by every underlying :func:`run_benchmark` call.
     """
     config = benchmark if isinstance(benchmark, BenchmarkConfig) else get_benchmark(benchmark)
-    flat = {name: value for name, value in locals().items() if name in _LEGACY_FLAT_KNOBS}
-    resolved = _resolve_knobs(config, knobs, flat, "compare_compressors")
+    resolved = config.knobs if knobs is None else knobs
     baseline = run_benchmark(
         config, "none", 1.0, num_workers=num_workers, iterations=iterations, seed=seed,
         network=network, device=device, knobs=resolved,
@@ -280,6 +225,7 @@ def compare_compressors(
             rate = quality / max(result.metrics.total_time, 1e-12)
             est_quality, est_ci = result.metrics.estimation_quality()
             overlap_stats = result.metrics.overlap_summary()
+            run_knobs = result.config.knobs
             comparison.rows.append(
                 BenchmarkRunRow(
                     benchmark=config.name,
@@ -294,25 +240,17 @@ def compare_compressors(
                     else float("nan"),
                     estimation_quality=est_quality,
                     estimation_quality_ci=est_ci,
-                    overlap=result.config.overlap if result.config else "none",
+                    overlap=run_knobs.overlap,
                     serialized_time=overlap_stats["serialized_seconds"],
                     overlap_saving=overlap_stats["overlap_saving"],
                     topology=_topology_label(result.config),
-                    allgather_algorithm=result.config.allgather_algorithm
-                    if result.config
-                    else "flat-allgather",
-                    pipeline_chunks=result.config.pipeline_chunks if result.config else 1,
-                    dedup_assumption=(result.config.dedup_assumption or "off")
-                    if result.config
-                    else "off",
+                    allgather_algorithm=run_knobs.allgather_algorithm,
+                    pipeline_chunks=run_knobs.pipeline_chunks,
+                    dedup_assumption=run_knobs.dedup_assumption or "off",
                     dedup_ratio=result.metrics.mean_dedup_ratio(),
-                    cross_bucket_pipeline=result.config.cross_bucket_pipeline
-                    if result.config
-                    else False,
-                    scheduler_backend=result.config.scheduler_backend
-                    if result.config
-                    else "loop",
-                    sync_policy=result.config.sync_policy if result.config else "full-sync",
+                    cross_bucket_pipeline=run_knobs.cross_bucket_pipeline,
+                    scheduler_backend=run_knobs.scheduler_backend,
+                    sync_policy=run_knobs.sync_policy,
                 )
             )
             comparison.runs[(name, ratio)] = result

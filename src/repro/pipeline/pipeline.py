@@ -130,10 +130,11 @@ class CompressionPipeline(Compressor):
                 return result
 
         abs_flat = np.abs(arr)
-        if d < 2 or float(abs_flat.max()) == 0.0:
-            # No tail to fit anywhere; let the wrapped compressor's degenerate
-            # handling pick the selection, but keep the pipeline's metadata
-            # contract (per-bucket payloads) intact for the timeline model.
+        if ratio >= 1.0 or d < 2 or float(abs_flat.max()) == 0.0:
+            # Everything kept, or no tail to fit anywhere; let the wrapped
+            # compressor's degenerate handling pick the selection, but keep
+            # the pipeline's metadata contract (per-bucket payloads) intact
+            # for the timeline model.
             result = inner.compress(arr, ratio)
             bucket_nnz = np.bincount(
                 layout.bucket_of(result.sparse.indices), minlength=layout.num_buckets

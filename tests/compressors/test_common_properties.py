@@ -39,11 +39,15 @@ class TestCompressorContract:
         assert len(result.ops) >= 1
         assert all(op.size >= 0 for op in result.ops)
 
-    def test_achieved_ratio_reported(self, name, small_gradient):
-        result = create_compressor(name).compress(small_gradient, 0.05)
-        assert result.target_ratio == 0.05
+    @pytest.mark.parametrize("ratio", [0.05, 1.0])
+    def test_achieved_ratio_reported(self, name, ratio, small_gradient):
+        result = create_compressor(name).compress(small_gradient, ratio)
+        assert result.target_ratio == ratio
         assert 0.0 < result.achieved_ratio <= 1.0
         assert result.achieved_k == result.sparse.nnz
+        if ratio == 1.0 and name.startswith("sidco"):
+            # Nothing to threshold: SIDCo keeps every element (exact-k).
+            assert result.achieved_ratio == 1.0
 
     def test_empty_gradient_rejected(self, name):
         with pytest.raises(ValueError):
@@ -219,14 +223,13 @@ class TestRegistryWideBucketedEdgeInputs:
         assert rv.metadata["bucket_nnz"] == rl.metadata["bucket_nnz"]
 
     def test_full_ratio_keeps_everything_selectable(self, name, case):
-        if name.startswith("sidco"):
-            pytest.skip("SIDCo's SID fit rejects delta=1.0 by contract")
         arr = _degenerate_case(case)
         rv = _bucketed_pipeline(name, vectorized=True).compress(arr, 1.0)
         rl = _bucketed_pipeline(name, vectorized=False).compress(arr, 1.0)
         np.testing.assert_array_equal(rv.sparse.indices, rl.sparse.indices)
-        if name in ("none", "topk"):
-            # Exact selectors must keep every coordinate at ratio 1.0.
+        if name in ("none", "topk") or name.startswith("sidco"):
+            # Exact selectors (and SIDCo's exact-k fallback) must keep every
+            # coordinate at ratio 1.0.
             assert rv.sparse.nnz == arr.size
 
     def test_empty_gradient_rejected(self, name, case):

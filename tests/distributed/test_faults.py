@@ -25,6 +25,7 @@ from repro.distributed import (
     FaultModel,
     FullSync,
     LinkDegradation,
+    SimulationKnobs,
     StragglerInjector,
     TimeWindowSync,
     TrainerConfig,
@@ -353,18 +354,17 @@ class TestTrainerIntegration:
     def test_straggler_knob_slows_training(self):
         clean = DistributedTrainer(_model(), _dataset(), "topk", _config()).run()
         slow = DistributedTrainer(
-            _model(), _dataset(), "topk", _config(straggler_severity=8.0)
+            _model(), _dataset(), "topk", _config(knobs=SimulationKnobs(straggler_severity=8.0))
         ).run()
         assert slow.metrics.total_time > clean.metrics.total_time
         assert all(r.participating_workers == 4 for r in slow.metrics.records)
 
     def test_backup_workers_cut_the_straggler(self):
+        straggler = SimulationKnobs(straggler_severity=8.0)
         config = _config(
-            straggler_severity=8.0, sync_policy="backup-workers", backup_workers=1
+            knobs=straggler.replace(sync_policy="backup-workers", backup_workers=1)
         )
-        full = DistributedTrainer(
-            _model(), _dataset(), "topk", _config(straggler_severity=8.0)
-        ).run()
+        full = DistributedTrainer(_model(), _dataset(), "topk", _config(knobs=straggler)).run()
         backup = DistributedTrainer(_model(), _dataset(), "topk", config).run()
         assert backup.metrics.total_time < full.metrics.total_time
         summary = backup.metrics.straggler_summary()
@@ -385,13 +385,13 @@ class TestTrainerIntegration:
     def test_churn_run_deterministic_under_fixed_seed(self):
         def run():
             config = _config(
-                straggler_severity=1.0,
                 fault_injectors=(
                     StragglerInjector(probability=0.5, slowdown=4.0, seed=5),
                     WorkerChurn(leave_probability=0.3, rejoin_probability=0.5, seed=5),
                 ),
-                sync_policy="time-window",
-                time_window_factor=1.2,
+                knobs=SimulationKnobs(
+                    straggler_severity=1.0, sync_policy="time-window", time_window_factor=1.2
+                ),
             )
             return DistributedTrainer(_model(), _dataset(), "topk", config).run()
 
@@ -405,7 +405,8 @@ class TestTrainerIntegration:
     def test_cluster_profile_excludes_straggler_knobs(self):
         with pytest.raises(ValueError, match="cluster_profile or the single-straggler"):
             _config(
-                cluster_profile=ClusterProfile.homogeneous(4), straggler_severity=2.0
+                cluster_profile=ClusterProfile.homogeneous(4),
+                knobs=SimulationKnobs(straggler_severity=2.0),
             )
 
     def test_cluster_profile_must_match_worker_count(self):
@@ -414,4 +415,4 @@ class TestTrainerIntegration:
 
     def test_backup_workers_must_leave_a_participant(self):
         with pytest.raises(ValueError, match="at least one participant"):
-            _config(sync_policy="backup-workers", backup_workers=4)
+            _config(knobs=SimulationKnobs(sync_policy="backup-workers", backup_workers=4))

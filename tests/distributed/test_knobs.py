@@ -1,26 +1,34 @@
-"""Tests for the consolidated SimulationKnobs bundle and its single-source contract.
+"""Tests for the SimulationKnobs bundle and its single-store contract.
 
-The API redesign's core promise: every surface that prices an iteration
-(``TrainerConfig``, ``BenchmarkConfig``, the sweep grid, ``run_benchmark``)
-reads its knob names, defaults and validation from ``SimulationKnobs`` — so a
-default can no longer drift between surfaces, and a new knob is automatically
-a trainer field, a benchmark field and a sweep axis.
+Every surface that prices an iteration (``TrainerConfig``,
+``BenchmarkConfig``, the sweep grid, ``run_benchmark``) reads its knobs from a
+``SimulationKnobs`` bundle: no config carries its own copy of a knob, and the
+bundle and the sweep apply the same per-knob validation rules.
 """
 
-import warnings
+import math
 from dataclasses import fields
 
 import pytest
 
-from repro.distributed import (
-    KNOB_FIELDS,
-    SimulationKnobs,
-    TrainerConfig,
-    apply_flat_overrides,
-    knob_defaults,
-)
+from repro.distributed import KNOB_FIELDS, SimulationKnobs, TrainerConfig, knob_defaults
 from repro.harness import BenchmarkConfig
-from repro.harness.sweep import DEFAULT_KNOBS, SWEEP_KNOBS
+from repro.harness.sweep import DEFAULT_KNOBS, SWEEP_KNOBS, SweepSpec, WorkloadSpec
+
+
+def _benchmark_config(**kwargs) -> BenchmarkConfig:
+    return BenchmarkConfig(
+        name="x",
+        task="t",
+        quality_metric="accuracy",
+        full_dimension=1000,
+        per_worker_batch=8,
+        learning_rate=0.1,
+        epochs=1,
+        comm_overhead=0.5,
+        optimizer="sgd",
+        **kwargs,
+    )
 
 
 class TestSingleSourceOfTruth:
@@ -31,56 +39,77 @@ class TestSingleSourceOfTruth:
         assert SWEEP_KNOBS == ("compressor", "ratio", *KNOB_FIELDS)
         assert set(DEFAULT_KNOBS) == set(SWEEP_KNOBS)
 
-    def test_trainer_config_defaults_pin_knob_defaults(self):
-        # Regression for knob-default drift: TrainerConfig's knob fields must
-        # default to exactly the SimulationKnobs values.
-        config = TrainerConfig(num_workers=2, compute_seconds=0.01)
-        for name, default in knob_defaults().items():
-            assert getattr(config, name) == default, name
+    @pytest.mark.parametrize("config_cls", [TrainerConfig, BenchmarkConfig])
+    def test_configs_store_no_flat_knobs(self, config_cls):
+        # The bundle is the only knob store: no config field mirrors a knob.
+        names = {f.name for f in fields(config_cls)}
+        assert names.isdisjoint(KNOB_FIELDS)
+        assert "knobs" in names
 
-    def test_benchmark_config_defaults_pin_knob_defaults(self):
-        config = BenchmarkConfig(
-            name="x",
-            task="t",
-            quality_metric="accuracy",
-            full_dimension=1000,
-            per_worker_batch=8,
-            learning_rate=0.1,
-            epochs=1,
-            comm_overhead=0.5,
-            optimizer="sgd",
-        )
-        for name, default in knob_defaults().items():
-            assert getattr(config, name) == default, name
+    def test_configs_default_to_the_default_bundle(self):
+        assert TrainerConfig().knobs == SimulationKnobs()
+        assert _benchmark_config().knobs == SimulationKnobs()
 
     def test_benchmark_config_bundles_knobs(self):
-        config = BenchmarkConfig(
-            name="x",
-            task="t",
-            quality_metric="accuracy",
-            full_dimension=1000,
-            per_worker_batch=8,
-            learning_rate=0.1,
-            epochs=1,
-            comm_overhead=0.5,
-            optimizer="sgd",
-            overlap="comm",
-            sync_policy="time-window",
-            time_window_factor=2.0,
+        config = _benchmark_config(
+            knobs=SimulationKnobs(overlap="comm", sync_policy="time-window", time_window_factor=2.0)
         )
-        knobs = config.simulation_knobs()
+        knobs = config.knobs
         assert knobs.overlap == "comm"
         assert knobs.time_window_factor == 2.0
         assert knobs.faulted
 
-    def test_trainer_config_snapshot_and_knobs_param(self):
-        bundle = SimulationKnobs(overlap="comm", scheduler_backend="vectorized")
-        via_knobs = TrainerConfig(num_workers=2, compute_seconds=0.01, knobs=bundle)
-        via_flat = TrainerConfig(
-            num_workers=2, compute_seconds=0.01, overlap="comm", scheduler_backend="vectorized"
-        )
-        assert via_knobs.overlap == via_flat.overlap == "comm"
-        assert via_knobs.knobs == via_flat.knobs
+
+#: Bad per-knob values: each must be rejected by the bundle and by a sweep axis.
+BAD_KNOB_VALUES = [
+    ("bucket_bytes", 0),
+    ("bucket_bytes", 3),
+    ("bucket_bytes", 2.5),
+    ("bucket_bytes", True),
+    ("pipeline_chunks", 0),
+    ("pipeline_chunks", True),
+    ("backup_workers", -1),
+    ("backup_workers", True),
+    ("straggler_severity", 0.5),
+    ("straggler_severity", math.nan),
+    ("link_degradation", math.inf),
+    ("time_window_factor", 0.5),
+    ("overlap", "x"),
+    ("topology", "no-such-fabric"),
+    ("allgather_algorithm", "ring-allreduce"),
+    ("dedup_assumption", "correlated"),
+    ("cross_bucket_pipeline", 1),
+    ("scheduler_backend", "gpu"),
+    ("sync_policy", "quorum"),
+]
+
+#: Good per-knob values (free of cross-knob implications): both accept them.
+GOOD_KNOB_VALUES = [
+    ("bucket_bytes", None),
+    ("bucket_bytes", 4),
+    ("pipeline_chunks", 2),
+    ("straggler_severity", 1.5),
+    ("overlap", "comm"),
+]
+
+
+def _sweep_axis(knob, value) -> SweepSpec:
+    workload = WorkloadSpec(name="w", dimension=10**6, comm_overhead=0.5)
+    return SweepSpec(workloads=(workload,), axes={knob: (value,)})
+
+
+class TestBundleAndSweepAgree:
+    @pytest.mark.parametrize(("knob", "value"), BAD_KNOB_VALUES)
+    def test_bad_value_rejected_by_both(self, knob, value):
+        with pytest.raises(ValueError):
+            SimulationKnobs(**{knob: value})
+        with pytest.raises(ValueError):
+            _sweep_axis(knob, value)
+
+    @pytest.mark.parametrize(("knob", "value"), GOOD_KNOB_VALUES)
+    def test_good_value_accepted_by_both(self, knob, value):
+        assert getattr(SimulationKnobs(**{knob: value}), knob) == value
+        assert _sweep_axis(knob, value).axes[knob] == (value,)
 
 
 class TestValidation:
@@ -119,22 +148,3 @@ class TestValidation:
         assert knobs.replace(overlap="comm").overlap == "comm"
         with pytest.raises(ValueError):
             knobs.replace(backup_workers=1)
-
-
-class TestDeprecationShim:
-    def test_none_values_mean_not_passed(self):
-        base = SimulationKnobs(overlap="comm")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # any warning would fail the test
-            out = apply_flat_overrides(base, {"overlap": None, "bucket_bytes": None}, "f")
-        assert out is base
-
-    def test_passed_knobs_warn_and_win(self):
-        base = SimulationKnobs()
-        with pytest.warns(DeprecationWarning, match="deprecated.*SimulationKnobs"):
-            out = apply_flat_overrides(base, {"overlap": "comm+compress"}, "run_benchmark")
-        assert out.overlap == "comm+compress"
-
-    def test_unknown_knob_rejected(self):
-        with pytest.raises(ValueError, match="unknown knobs"):
-            apply_flat_overrides(SimulationKnobs(), {"turbo": True}, "f")

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro.data import make_blobs_classification
-from repro.distributed import DistributedTrainer, TrainerConfig, train_baseline_and_compressed
+from repro.distributed import (
+    DistributedTrainer,
+    SimulationKnobs,
+    TrainerConfig,
+    train_baseline_and_compressed,
+)
 from repro.gradients import GradientCapture
 from repro.nn import build_model
 from repro.optim import WarmupStepDecay
@@ -16,6 +21,10 @@ def _dataset(seed=0):
 
 def _model(seed=1):
     return build_model("mlp", input_dim=16, hidden_dims=(32,), num_classes=4, seed=seed)
+
+
+#: 512-byte buckets: several per layer of the test MLP.
+_BUCKETED = SimulationKnobs(bucket_bytes=512)
 
 
 def _config(**kwargs):
@@ -106,14 +115,14 @@ class TestHelpers:
         with pytest.raises(ValueError):
             TrainerConfig(warmup_iterations=-1)
         with pytest.raises(ValueError):
-            TrainerConfig(bucket_bytes=0)
+            TrainerConfig(knobs=SimulationKnobs(bucket_bytes=0))
 
 
 class TestBucketedPipeline:
     def test_bucket_bytes_wraps_worker_compressors(self):
         from repro.pipeline import CompressionPipeline
 
-        trainer = DistributedTrainer(_model(), _dataset(), "sidco-e", _config(bucket_bytes=512))
+        trainer = DistributedTrainer(_model(), _dataset(), "sidco-e", _config(knobs=_BUCKETED))
         assert all(isinstance(w.compressor, CompressionPipeline) for w in trainer.workers)
         assert trainer.compressor_name == "sidco-e-bucketed"
         result = trainer.run()
@@ -124,12 +133,12 @@ class TestBucketedPipeline:
         # Asking for an already-bucketed compressor name must still honour the
         # trainer config's bucket size, not the factory's 4 MiB default.
         trainer = DistributedTrainer(
-            _model(), _dataset(), "sidco-e-bucketed", _config(bucket_bytes=512)
+            _model(), _dataset(), "sidco-e-bucketed", _config(knobs=_BUCKETED)
         )
         assert all(w.compressor.bucket_bytes == 512 for w in trainer.workers)
 
     def test_baseline_is_never_bucketed(self):
-        trainer = DistributedTrainer(_model(), _dataset(), "none", _config(bucket_bytes=512))
+        trainer = DistributedTrainer(_model(), _dataset(), "none", _config(knobs=_BUCKETED))
         assert trainer.is_baseline
         assert trainer.compressor_name == "none"
 
@@ -138,14 +147,15 @@ class TestBucketedPipeline:
         # still converges to a comparable loss.
         plain = DistributedTrainer(_model(seed=7), _dataset(1), "sidco-e", _config(seed=1)).run()
         bucketed = DistributedTrainer(
-            _model(seed=7), _dataset(1), "sidco-e", _config(seed=1, bucket_bytes=2048)
+            _model(seed=7), _dataset(1), "sidco-e",
+            _config(seed=1, knobs=SimulationKnobs(bucket_bytes=2048)),
         ).run()
         assert bucketed.metrics.final_loss < plain.metrics.final_loss * 1.25 + 0.05
 
     def test_bucketed_communication_time_accounts_per_bucket_latency(self):
         plain = DistributedTrainer(_model(), _dataset(), "topk", _config(seed=2)).run()
         bucketed = DistributedTrainer(
-            _model(), _dataset(), "topk", _config(seed=2, bucket_bytes=512)
+            _model(), _dataset(), "topk", _config(seed=2, knobs=_BUCKETED)
         ).run()
         # Same payload split across many all-gathers pays extra per-message
         # latency, so bucketed communication is >= the single-shot pricing.
@@ -155,7 +165,7 @@ class TestBucketedPipeline:
         )
 
     def test_layer_aware_buckets_snap_to_model_layers(self):
-        trainer = DistributedTrainer(_model(), _dataset(), "topk", _config(bucket_bytes=512))
+        trainer = DistributedTrainer(_model(), _dataset(), "topk", _config(knobs=_BUCKETED))
         worker = trainer.workers[0]
         assert worker.compressor.flat_spec is not None
         layout = worker.compressor.layout_for(worker.flat_spec.total_size)
@@ -174,7 +184,7 @@ class TestBucketedPipeline:
 
     def test_layer_aware_buckets_can_be_disabled(self):
         trainer = DistributedTrainer(
-            _model(), _dataset(), "topk", _config(bucket_bytes=512, layer_aware_buckets=False)
+            _model(), _dataset(), "topk", _config(knobs=_BUCKETED, layer_aware_buckets=False)
         )
         worker = trainer.workers[0]
         assert worker.compressor.flat_spec is None
@@ -184,15 +194,15 @@ class TestBucketedPipeline:
 class TestOverlapPolicy:
     def test_invalid_overlap_rejected(self):
         with pytest.raises(ValueError):
-            TrainerConfig(overlap="pipelined")
+            TrainerConfig(knobs=SimulationKnobs(overlap="pipelined"))
 
     def test_overlap_reduces_wall_time_not_loss(self):
         serial = DistributedTrainer(
-            _model(seed=5), _dataset(3), "topk", _config(seed=3, bucket_bytes=512)
+            _model(seed=5), _dataset(3), "topk", _config(seed=3, knobs=_BUCKETED)
         ).run()
         overlapped = DistributedTrainer(
             _model(seed=5), _dataset(3), "topk",
-            _config(seed=3, bucket_bytes=512, overlap="comm+compress"),
+            _config(seed=3, knobs=SimulationKnobs(bucket_bytes=512, overlap="comm+compress")),
         ).run()
         # Identical training math: the schedule only reprices time.
         np.testing.assert_allclose(overlapped.metrics.losses, serial.metrics.losses)
@@ -208,7 +218,8 @@ class TestOverlapPolicy:
     def test_overlap_noop_without_buckets(self):
         serial = DistributedTrainer(_model(), _dataset(), "topk", _config(seed=4)).run()
         overlapped = DistributedTrainer(
-            _model(), _dataset(), "topk", _config(seed=4, overlap="comm+compress")
+            _model(), _dataset(), "topk",
+            _config(seed=4, knobs=SimulationKnobs(overlap="comm+compress")),
         ).run()
         assert overlapped.metrics.total_time == pytest.approx(serial.metrics.total_time)
         assert overlapped.metrics.overlap_summary()["overlap_saving"] == pytest.approx(0.0)
@@ -231,23 +242,23 @@ class TestTopologyThreading:
 
     def test_invalid_algorithm_rejected_at_config_time(self):
         with pytest.raises(ValueError):
-            TrainerConfig(allgather_algorithm="ring-allreduce")
+            TrainerConfig(knobs=SimulationKnobs(allgather_algorithm="ring-allreduce"))
         with pytest.raises(ValueError):
-            TrainerConfig(allreduce_algorithm="nccl")
+            TrainerConfig(knobs=SimulationKnobs(allreduce_algorithm="nccl"))
 
     def test_topology_worker_mismatch_rejected_at_config_time(self):
         with pytest.raises(ValueError, match="workers"):
-            _config(num_workers=8, topology=self._two_level())  # 4 workers
+            _config(num_workers=8, knobs=SimulationKnobs(topology=self._two_level()))  # 4 workers
 
     def test_unknown_preset_rejected_at_config_time(self):
         with pytest.raises(ValueError, match="unknown topology"):
-            _config(num_workers=8, topology="cluster99")
+            _config(num_workers=8, knobs=SimulationKnobs(topology="cluster99"))
 
     def test_preset_resolved_by_name(self):
         from repro.distributed import get_topology
         from repro.distributed.network import CLUSTER_ETHERNET_10G
 
-        config = _config(num_workers=8, topology="cluster1")
+        config = _config(num_workers=8, knobs=SimulationKnobs(topology="cluster1"))
         assert config.resolve_topology(CLUSTER_ETHERNET_10G) is get_topology("cluster1")
 
     def test_default_topology_is_flat_over_network(self):
@@ -259,7 +270,9 @@ class TestTopologyThreading:
         assert topo.bottleneck_link is CLUSTER_ETHERNET_10G
 
     def test_trainer_wires_collective_into_timeline(self):
-        config = _config(topology=self._two_level(), allgather_algorithm="hierarchical")
+        config = _config(
+            knobs=SimulationKnobs(topology=self._two_level(), allgather_algorithm="hierarchical")
+        )
         trainer = DistributedTrainer(_model(), _dataset(), "topk", config)
         assert trainer.collective.topology.name == "test-2x2"
         assert trainer.timeline.collective is trainer.collective
@@ -267,11 +280,21 @@ class TestTopologyThreading:
     def test_hierarchical_topology_run_prices_cheaper_iterations(self):
         flat = DistributedTrainer(
             _model(seed=7), _dataset(5), "topk",
-            _config(seed=5, topology=self._two_level(), allgather_algorithm="flat-allgather"),
+            _config(
+                seed=5,
+                knobs=SimulationKnobs(
+                    topology=self._two_level(), allgather_algorithm="flat-allgather"
+                ),
+            ),
         ).run()
         hier = DistributedTrainer(
             _model(seed=7), _dataset(5), "topk",
-            _config(seed=5, topology=self._two_level(), allgather_algorithm="hierarchical"),
+            _config(
+                seed=5,
+                knobs=SimulationKnobs(
+                    topology=self._two_level(), allgather_algorithm="hierarchical"
+                ),
+            ),
         ).run()
         # Identical training math; only the communication pricing changes.
         np.testing.assert_allclose(hier.metrics.losses, flat.metrics.losses)
@@ -284,7 +307,10 @@ class TestTopologyThreading:
         default = DistributedTrainer(_model(), _dataset(), "topk", _config(seed=6)).run()
         flat = DistributedTrainer(
             _model(), _dataset(), "topk",
-            _config(seed=6, topology=ClusterTopology.flat(CLUSTER_ETHERNET_10G, 4)),
+            _config(
+                seed=6,
+                knobs=SimulationKnobs(topology=ClusterTopology.flat(CLUSTER_ETHERNET_10G, 4)),
+            ),
         ).run()
         assert flat.metrics.total_time == default.metrics.total_time
 
@@ -306,32 +332,32 @@ class TestDedupPipelineThreading:
 
     def test_invalid_knobs_rejected_at_config_time(self):
         with pytest.raises(ValueError, match="pipeline_chunks"):
-            _config(pipeline_chunks=0)
+            _config(knobs=SimulationKnobs(pipeline_chunks=0))
         with pytest.raises(ValueError, match="unknown dedup assumption"):
-            _config(dedup_assumption="correlated")
+            _config(knobs=SimulationKnobs(dedup_assumption="correlated"))
 
     def test_trainer_builds_dedup_and_pipelined_collective(self):
         config = _config(
-            topology=self._two_level(),
-            allgather_algorithm="hierarchical",
-            pipeline_chunks=4,
-            dedup_assumption="uniform",
+            knobs=SimulationKnobs(
+                topology=self._two_level(),
+                allgather_algorithm="hierarchical",
+                pipeline_chunks=4,
+                dedup_assumption="uniform",
+            )
         )
         trainer = DistributedTrainer(_model(), _dataset(), "topk", config)
         assert trainer.collective.pipeline_chunks == 4
         assert trainer.collective.allgather_dedup.assumption == "uniform"
 
     def test_dedup_run_prices_cheaper_and_records_achieved_ratio(self):
-        base = dict(
-            seed=5, ratio=0.1, iterations=10,
-            topology=self._two_level(), allgather_algorithm="hierarchical",
-        )
+        base = dict(seed=5, ratio=0.1, iterations=10)
+        knobs = SimulationKnobs(topology=self._two_level(), allgather_algorithm="hierarchical")
         plain = DistributedTrainer(
-            _model(seed=7), _dataset(5), "topk", _config(**base)
+            _model(seed=7), _dataset(5), "topk", _config(**base, knobs=knobs)
         ).run()
         deduped = DistributedTrainer(
             _model(seed=7), _dataset(5), "topk",
-            _config(**base, dedup_assumption="uniform"),
+            _config(**base, knobs=knobs.replace(dedup_assumption="uniform")),
         ).run()
         # Dedup only reprices the wire: identical training math, lower cost.
         np.testing.assert_allclose(deduped.metrics.losses, plain.metrics.losses)
@@ -341,11 +367,13 @@ class TestDedupPipelineThreading:
         assert all(r.dedup_ratio > 1.0 for r in deduped.metrics.records)
 
     def test_knobs_off_match_pr3_run_exactly(self):
-        base = dict(seed=6, topology=self._two_level(), allgather_algorithm="hierarchical")
-        default = DistributedTrainer(_model(), _dataset(), "topk", _config(**base)).run()
+        knobs = SimulationKnobs(topology=self._two_level(), allgather_algorithm="hierarchical")
+        default = DistributedTrainer(
+            _model(), _dataset(), "topk", _config(seed=6, knobs=knobs)
+        ).run()
         knobs_off = DistributedTrainer(
             _model(), _dataset(), "topk",
-            _config(**base, pipeline_chunks=1, dedup_assumption=None),
+            _config(seed=6, knobs=knobs.replace(pipeline_chunks=1, dedup_assumption=None)),
         ).run()
         assert knobs_off.metrics.total_time == default.metrics.total_time
 
@@ -367,34 +395,36 @@ class TestCrossBucketThreading:
 
     def test_invalid_flag_rejected_at_config_time(self):
         with pytest.raises(ValueError, match="cross_bucket_pipeline"):
-            _config(cross_bucket_pipeline="yes")
+            _config(knobs=SimulationKnobs(cross_bucket_pipeline="yes"))
 
     def test_trainer_threads_flag_into_timeline(self):
         config = _config(
-            topology=self._two_level(),
-            allgather_algorithm="hierarchical",
-            overlap="comm",
-            cross_bucket_pipeline=True,
+            knobs=SimulationKnobs(
+                topology=self._two_level(),
+                allgather_algorithm="hierarchical",
+                overlap="comm",
+                cross_bucket_pipeline=True,
+            )
         )
         trainer = DistributedTrainer(_model(), _dataset(), "topk", config)
         assert trainer.timeline.cross_bucket_pipeline
 
     def test_cross_bucket_run_no_slower_and_same_serialized_time(self):
-        base = dict(
-            seed=5, ratio=0.1, iterations=8, overlap="comm",
-            topology=self._two_level(), allgather_algorithm="hierarchical",
-            dimension_scale=2000.0, bucket_bytes=512,
+        base = dict(seed=5, ratio=0.1, iterations=8, dimension_scale=2000.0)
+        knobs = SimulationKnobs(
+            overlap="comm", topology=self._two_level(), allgather_algorithm="hierarchical",
+            bucket_bytes=512,
         )
         serial = DistributedTrainer(
-            _model(seed=7), _dataset(5), "topk", _config(**base)
+            _model(seed=7), _dataset(5), "topk", _config(**base, knobs=knobs)
         ).run()
         cross = DistributedTrainer(
             _model(seed=7), _dataset(5), "topk",
-            _config(**base, cross_bucket_pipeline=True),
+            _config(**base, knobs=knobs.replace(cross_bucket_pipeline=True)),
         ).run()
         assert cross.metrics.total_time < serial.metrics.total_time
         # The flat component sum is scheduling-invariant.
         assert cross.metrics.serialized_total_time == pytest.approx(
             serial.metrics.serialized_total_time
         )
-        assert cross.config.cross_bucket_pipeline
+        assert cross.config.knobs.cross_bucket_pipeline

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.distributed import get_topology
 from repro.harness import (
     DEFAULT_CONSTRAINTS,
     DEFAULT_KNOBS,
@@ -150,6 +151,9 @@ class TestSpecValidation:
             {"topology": ("my-cluster",)},
             {"bucket_bytes": (-1,)},
             {"dedup_assumption": ("sometimes",)},
+            # A sweep prices on a named fabric: no flat or explicit topology.
+            {"topology": (None,)},
+            {"topology": (get_topology("cluster1"),)},
         ):
             with pytest.raises(ValueError):
                 SweepSpec(workloads=(_workload(),), axes=axes)
@@ -163,6 +167,15 @@ class TestSpecValidation:
             WorkloadSpec(name="w", dimension=100_000, comm_overhead=1.5)
         with pytest.raises(ValueError, match="dimension"):
             WorkloadSpec(name="w", dimension=8, comm_overhead=0.5, proxy_elements=4096)
+        for field, value in (
+            ("dimension", 1e6),
+            ("dimension", 500_000.0),
+            ("proxy_elements", 2048.0),
+            ("proxy_elements", True),
+        ):
+            kwargs = dict(name="w", dimension=500_000, comm_overhead=0.5, proxy_elements=2048)
+            with pytest.raises(ValueError, match=field):
+                WorkloadSpec(**{**kwargs, field: value})
 
     def test_constraint_rejects_unknown_knob(self):
         with pytest.raises(ValueError, match="unknown knob"):
@@ -213,6 +226,19 @@ class TestExecutionEquivalence:
     def test_process_pool_equals_serial_bit_for_bit(self, spec, uncached):
         pooled = run_sweep(spec, backend="process", processes=2)
         assert pooled.records == uncached.records
+
+    def test_full_ratio_sidco_sweep_completes(self):
+        # ratio=1.0 keeps every element, for SIDCo as for top-k; one such
+        # point must not abort the sweep.
+        spec = SweepSpec(
+            workloads=(_workload(),),
+            axes={"compressor": ("sidco-e", "topk"), "ratio": (0.1, 1.0)},
+        )
+        result = run_sweep(spec, memoize=False)
+        assert len(result.records) == 4
+        for record in result.records:
+            if record.config["ratio"] == 1.0:
+                assert record.metrics["achieved_ratio"] == 1.0
 
     def test_evaluate_point_rejects_foreign_workload(self):
         point = SweepPoint.from_config("other", {})

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.distributed import SimulationKnobs
 from repro.harness import compare_compressors, get_benchmark, run_benchmark
 
 
@@ -46,11 +47,16 @@ class TestCompareCompressors:
 
 class TestOverlapThreading:
     def test_run_benchmark_threads_overlap_policy(self):
-        kwargs = dict(num_workers=2, iterations=8, seed=0, bucket_bytes=256 * 1024)
-        serial = run_benchmark("vgg16-cifar10", "topk", 0.01, overlap="none", **kwargs)
-        overlapped = run_benchmark("vgg16-cifar10", "topk", 0.01, overlap="comm+compress", **kwargs)
-        assert serial.config.overlap == "none"
-        assert overlapped.config.overlap == "comm+compress"
+        kwargs = dict(num_workers=2, iterations=8, seed=0)
+        knobs = SimulationKnobs(bucket_bytes=256 * 1024)
+        serial = run_benchmark(
+            "vgg16-cifar10", "topk", 0.01, knobs=knobs.replace(overlap="none"), **kwargs
+        )
+        overlapped = run_benchmark(
+            "vgg16-cifar10", "topk", 0.01, knobs=knobs.replace(overlap="comm+compress"), **kwargs
+        )
+        assert serial.config.knobs.overlap == "none"
+        assert overlapped.config.knobs.overlap == "comm+compress"
         # Same training math, strictly less simulated wall-clock.
         assert overlapped.metrics.total_time < serial.metrics.total_time
         assert overlapped.metrics.serialized_total_time == pytest.approx(
@@ -65,8 +71,7 @@ class TestOverlapThreading:
             num_workers=2,
             iterations=6,
             seed=0,
-            bucket_bytes=64 * 1024,
-            overlap="comm",
+            knobs=SimulationKnobs(bucket_bytes=64 * 1024, overlap="comm"),
         )
         row = comparison.rows[0]
         assert row.overlap == "comm"
@@ -90,32 +95,36 @@ class TestTopologyThreading:
     def test_topology_fixes_worker_count(self):
         result = run_benchmark(
             "resnet20-cifar10", "topk", 0.01, num_workers=8, iterations=4, seed=0,
-            topology=self._two_level(),
+            knobs=SimulationKnobs(topology=self._two_level()),
         )
         assert result.config.num_workers == 4
-        assert result.config.topology.name == "harness-2x2"
+        assert result.config.knobs.topology.name == "harness-2x2"
 
     def test_preset_topology_by_name(self):
         result = run_benchmark(
-            "resnet20-cifar10", "topk", 0.01, iterations=4, seed=0, topology="cluster2",
+            "resnet20-cifar10", "topk", 0.01, iterations=4, seed=0,
+            knobs=SimulationKnobs(topology="cluster2"),
         )
         assert result.config.num_workers == 8
-        assert result.config.topology.name == "cluster2-infiniband-100g"
+        assert result.config.knobs.topology.name == "cluster2-infiniband-100g"
 
     def test_hierarchical_allgather_speeds_up_two_level_run(self):
-        kwargs = dict(iterations=6, seed=0, topology=self._two_level())
+        kwargs = dict(iterations=6, seed=0)
+        knobs = SimulationKnobs(topology=self._two_level())
         flat = run_benchmark(
-            "vgg16-cifar10", "topk", 0.01, allgather_algorithm="flat-allgather", **kwargs
+            "vgg16-cifar10", "topk", 0.01,
+            knobs=knobs.replace(allgather_algorithm="flat-allgather"), **kwargs,
         )
         hier = run_benchmark(
-            "vgg16-cifar10", "topk", 0.01, allgather_algorithm="hierarchical", **kwargs
+            "vgg16-cifar10", "topk", 0.01,
+            knobs=knobs.replace(allgather_algorithm="hierarchical"), **kwargs,
         )
         assert hier.metrics.total_time < flat.metrics.total_time
 
     def test_compare_compressors_reports_topology_columns(self):
         comparison = compare_compressors(
             "resnet20-cifar10", ("topk",), (0.01,), iterations=4, seed=0,
-            topology=self._two_level(), allgather_algorithm="hierarchical",
+            knobs=SimulationKnobs(topology=self._two_level(), allgather_algorithm="hierarchical"),
         )
         row = comparison.rows[0]
         assert row.topology == "harness-2x2"
@@ -145,29 +154,32 @@ class TestDedupPipelineThreading:
     def test_run_benchmark_threads_both_knobs(self):
         result = run_benchmark(
             "resnet20-cifar10", "topk", 0.1, iterations=4, seed=0,
-            topology=self._two_level(), allgather_algorithm="hierarchical",
-            pipeline_chunks=4, dedup_assumption="uniform",
+            knobs=SimulationKnobs(
+                topology=self._two_level(), allgather_algorithm="hierarchical",
+                pipeline_chunks=4, dedup_assumption="uniform",
+            ),
         )
-        assert result.config.pipeline_chunks == 4
-        assert result.config.dedup_assumption == "uniform"
+        assert result.config.knobs.pipeline_chunks == 4
+        assert result.config.knobs.dedup_assumption == "uniform"
         assert result.metrics.mean_dedup_ratio() > 1.0
 
     def test_dedup_run_is_cheaper_than_plain_hierarchical(self):
-        kwargs = dict(
-            iterations=4, seed=0, topology=self._two_level(),
-            allgather_algorithm="hierarchical",
-        )
-        plain = run_benchmark("vgg16-cifar10", "topk", 0.1, **kwargs)
+        kwargs = dict(iterations=4, seed=0)
+        knobs = SimulationKnobs(topology=self._two_level(), allgather_algorithm="hierarchical")
+        plain = run_benchmark("vgg16-cifar10", "topk", 0.1, knobs=knobs, **kwargs)
         deduped = run_benchmark(
-            "vgg16-cifar10", "topk", 0.1, dedup_assumption="uniform", **kwargs
+            "vgg16-cifar10", "topk", 0.1, knobs=knobs.replace(dedup_assumption="uniform"),
+            **kwargs,
         )
         assert deduped.metrics.total_time < plain.metrics.total_time
 
     def test_compare_compressors_reports_dedup_columns(self):
         comparison = compare_compressors(
             "resnet20-cifar10", ("topk",), (0.1,), iterations=4, seed=0,
-            topology=self._two_level(), allgather_algorithm="hierarchical",
-            pipeline_chunks=2, dedup_assumption="uniform",
+            knobs=SimulationKnobs(
+                topology=self._two_level(), allgather_algorithm="hierarchical",
+                pipeline_chunks=2, dedup_assumption="uniform",
+            ),
         )
         row = comparison.rows[0]
         assert row.pipeline_chunks == 2
@@ -200,19 +212,23 @@ class TestCrossBucketThreading:
     def test_run_benchmark_threads_the_flag(self):
         result = run_benchmark(
             "resnet20-cifar10", "topk", 0.1, iterations=4, seed=0,
-            topology=self._torus(), allgather_algorithm="hierarchical",
-            bucket_bytes=64 * 1024, overlap="comm", cross_bucket_pipeline=True,
+            knobs=SimulationKnobs(
+                topology=self._torus(), allgather_algorithm="hierarchical",
+                bucket_bytes=64 * 1024, overlap="comm", cross_bucket_pipeline=True,
+            ),
         )
-        assert result.config.cross_bucket_pipeline
+        assert result.config.knobs.cross_bucket_pipeline
 
     def test_cross_bucket_run_is_no_slower(self):
-        kwargs = dict(
-            iterations=4, seed=0, topology=self._torus(),
-            allgather_algorithm="hierarchical", bucket_bytes=2 * 2**20, overlap="comm",
+        kwargs = dict(iterations=4, seed=0)
+        knobs = SimulationKnobs(
+            topology=self._torus(), allgather_algorithm="hierarchical",
+            bucket_bytes=2 * 2**20, overlap="comm",
         )
-        serial = run_benchmark("vgg16-cifar10", "topk", 0.1, **kwargs)
+        serial = run_benchmark("vgg16-cifar10", "topk", 0.1, knobs=knobs, **kwargs)
         cross = run_benchmark(
-            "vgg16-cifar10", "topk", 0.1, cross_bucket_pipeline=True, **kwargs
+            "vgg16-cifar10", "topk", 0.1, knobs=knobs.replace(cross_bucket_pipeline=True),
+            **kwargs,
         )
         assert cross.metrics.total_time <= serial.metrics.total_time
         assert cross.metrics.serialized_total_time == pytest.approx(
@@ -222,8 +238,10 @@ class TestCrossBucketThreading:
     def test_compare_compressors_reports_the_flag(self):
         comparison = compare_compressors(
             "resnet20-cifar10", ("topk",), (0.1,), iterations=4, seed=0,
-            topology=self._torus(), allgather_algorithm="hierarchical",
-            bucket_bytes=64 * 1024, overlap="comm", cross_bucket_pipeline=True,
+            knobs=SimulationKnobs(
+                topology=self._torus(), allgather_algorithm="hierarchical",
+                bucket_bytes=64 * 1024, overlap="comm", cross_bucket_pipeline=True,
+            ),
         )
         row = comparison.rows[0]
         assert row.cross_bucket_pipeline
@@ -240,10 +258,9 @@ class TestCrossBucketThreading:
 
         config = replace(
             get_benchmark("resnet20-cifar10"),
-            topology=None,
-            cross_bucket_pipeline=True,
+            knobs=SimulationKnobs(topology=None, cross_bucket_pipeline=True),
         )
         result = run_benchmark(
             config, "topk", 0.1, num_workers=2, iterations=3, seed=0,
         )
-        assert result.config.cross_bucket_pipeline
+        assert result.config.knobs.cross_bucket_pipeline

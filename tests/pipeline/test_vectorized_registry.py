@@ -96,8 +96,6 @@ class TestMatchesScalarLoopRegistryWide:
         _assert_results_match(rv, rl, threshold_rtol=_rtol_for(name))
 
     def test_full_ratio_matches(self, name, small_gradient):
-        if name.startswith("sidco"):
-            pytest.skip("SIDCo's SID fit rejects delta=1.0 by contract")
         vectorized, loop = _twin_pipelines(name)
         _assert_results_match(
             vectorized.compress(small_gradient, 1.0),
